@@ -171,14 +171,14 @@ func main() {
 			s.Now(), when, len(received), client.State())
 	}
 
-	// Sample the TTSF instance continuously: its byte counters prove
+	// Sample FA2's TTSF instance continuously: its byte counters prove
 	// whether the state moved or restarted. The last sample before the
 	// post-download teardown is the one the assertions use.
 	var preBytes, postBytes int64
 	var postOK bool
 	var probe func()
 	probe = func() {
-		if st, ok := filters.TTSFStatsFor(key); ok {
+		if st, ok := pl2.FilterStats(key, "ttsf").(filters.TTSFStats); ok {
 			postBytes, postOK = st.BytesIn, true
 		}
 		s.After(50*time.Millisecond, probe)
@@ -190,7 +190,7 @@ func main() {
 
 	// Handoff, services first: freeze the stream on FA1 and hand its
 	// filters — state included — to FA2, then move the mobile.
-	if st, ok := filters.TTSFStatsFor(key); ok {
+	if st, ok := pl1.FilterStats(key, "ttsf").(filters.TTSFStats); ok {
 		preBytes = st.BytesIn
 	}
 	fmt.Printf("t=%-8v MIGRATE: %s\n", s.Now(),

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eem"
+	"repro/internal/filter"
+	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
@@ -144,5 +146,95 @@ func TestNewConcurrentPlane(t *testing.T) {
 	defer mu.Unlock()
 	if got != 100 {
 		t.Fatalf("sink received %d packets, want 100", got)
+	}
+}
+
+// openStream starts a bulk send wired:srcPort → mobile:dstPort and
+// leaves the connection open, so the proxies keep its filter queues
+// live until the test tears them down.
+func openStream(t *testing.T, sys *core.System, srcPort, dstPort uint16, n int) {
+	t.Helper()
+	if _, err := sys.MobileTCP.Listen(dstPort, func(c *tcp.Conn) {}); err != nil {
+		t.Fatal(err)
+	}
+	client, err := sys.WiredTCP.ConnectFrom(srcPort, core.MobileAddr, dstPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.OnEstablished = func() { client.Write(bytes.Repeat([]byte("comma"), n/5)) }
+}
+
+// TestFilterStatsPerProxy: two proxies servicing the same stream each
+// own their TTSF instance, and tearing the stream down on one leaves
+// the other's stats readable.
+func TestFilterStatsPerProxy(t *testing.T) {
+	sys := core.NewSystem(core.Config{
+		Seed: 3, DoubleProxy: true,
+		Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
+	})
+	const keyStr = "11.11.10.99 7 11.11.10.10 5001"
+	k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7, DstIP: core.MobileAddr, DstPort: 5001}
+	// Only A excises bytes, so only A's TTSF records edits.
+	for _, c := range []string{"load tcp", "load ttsf", "load rdrop",
+		"add tcp " + keyStr, "add ttsf " + keyStr, "add rdrop " + keyStr + " 20"} {
+		sys.MustCommand(c)
+	}
+	for _, c := range []string{"load tcp", "load ttsf", "add tcp " + keyStr, "add ttsf " + keyStr} {
+		sys.MustCommandB(c)
+	}
+	openStream(t, sys, 7, 5001, 100_000)
+	sys.Sched.RunFor(3 * time.Second)
+
+	stA, okA := sys.Plane.FilterStats(k, "ttsf").(filters.TTSFStats)
+	stB, okB := sys.PlaneB.FilterStats(k, "ttsf").(filters.TTSFStats)
+	if !okA || !okB || stA.BytesIn == 0 || stB.BytesIn == 0 {
+		t.Fatalf("ttsf stats A=%+v (ok=%v) B=%+v (ok=%v)", stA, okA, stB, okB)
+	}
+	if stA.Edits == 0 || stB.Edits != 0 {
+		t.Fatalf("instances not per proxy: A edits=%d (want >0), B edits=%d (want 0)", stA.Edits, stB.Edits)
+	}
+
+	sys.Proxy.RemoveStream(k)
+	if got := sys.Plane.FilterStats(k, "ttsf"); got != nil {
+		t.Fatalf("A still reports stats after teardown: %+v", got)
+	}
+	if st, ok := sys.PlaneB.FilterStats(k, "ttsf").(filters.TTSFStats); !ok || st.BytesIn < stB.BytesIn {
+		t.Fatalf("B's stats lost with A's teardown: %+v ok=%v (had %+v)", st, ok, stB)
+	}
+}
+
+// TestFilterStatsFollowMigration: after an in-process A→B migration the
+// stream's TTSF counters are read from B, carry the pre-freeze bytes,
+// and A reports none.
+func TestFilterStatsFollowMigration(t *testing.T) {
+	sys := core.NewSystem(core.Config{
+		Seed: 5, DoubleProxy: true, Migration: true,
+		Wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 10 * time.Millisecond},
+	})
+	const keyStr = "11.11.10.99 7000 11.11.10.10 8000"
+	k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7000, DstIP: core.MobileAddr, DstPort: 8000}
+	for _, c := range []string{"load tcp", "load ttsf", "add tcp " + keyStr, "add ttsf " + keyStr} {
+		sys.MustCommand(c)
+	}
+	openStream(t, sys, 7000, 8000, 200_000)
+	var pre int64
+	var cmdOut string
+	sys.Sched.After(300*time.Millisecond, func() {
+		if st, ok := sys.Plane.FilterStats(k, "ttsf").(filters.TTSFStats); ok {
+			pre = st.BytesIn
+		}
+		cmdOut = sys.Plane.Command("migrate " + keyStr + " 11.11.11.2")
+	})
+	sys.Sched.RunFor(5 * time.Second)
+
+	if !strings.HasPrefix(cmdOut, "migrating") || pre == 0 {
+		t.Fatalf("migrate answered %q with %d bytes seen before the freeze", cmdOut, pre)
+	}
+	if got := sys.Plane.FilterStats(k, "ttsf"); got != nil {
+		t.Fatalf("source still reports ttsf stats after migration: %+v", got)
+	}
+	st, ok := sys.PlaneB.FilterStats(k, "ttsf").(filters.TTSFStats)
+	if !ok || st.BytesIn < pre {
+		t.Fatalf("destination ttsf stats %+v ok=%v, want BytesIn >= %d", st, ok, pre)
 	}
 }

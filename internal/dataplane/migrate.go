@@ -63,3 +63,11 @@ func (pl *Plane) StreamBindings(k filter.Key) int {
 	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { n = p.StreamBindings(k) })
 	return n
 }
+
+// FilterStats reads the named filter's counters on stream k from the
+// shard that owns it. See proxy.FilterStats.
+func (pl *Plane) FilterStats(k filter.Key, name string) any {
+	var st any
+	pl.doShard(ShardOf(k, pl.n), func(p *proxy.Proxy) { st = p.FilterStats(k, name) })
+	return st
+}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/filter"
 	"repro/internal/filters"
+	"repro/internal/ip"
 	"repro/internal/obs"
 )
 
@@ -225,5 +226,43 @@ func TestBatchedControlVsTrafficRace(t *testing.T) {
 			pl.Flush()
 			pl.StatsSnapshot()
 		}
+	}
+}
+
+// TestShardedSpawnFilterStats spawns a TTSF per stream on every shard
+// at once: each instance must live only in the queue of the shard that
+// owns its stream, so concurrent spawns share no state (the race
+// detector is the oracle) and a stream's stats are read back through
+// the owning shard.
+func TestShardedSpawnFilterStats(t *testing.T) {
+	cat := filter.NewCatalog()
+	filters.RegisterAll(cat)
+	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{
+		Shards: 4, Catalog: cat, Seed: 7, RingSize: 128,
+	})
+	defer pl.Close()
+	for _, c := range []string{"load tcp", "load ttsf", "load launcher",
+		"add launcher 11.11.10.99 0 11.11.10.10 0 tcp ttsf"} {
+		if out := pl.Command(c); strings.HasPrefix(out, "error") {
+			t.Fatalf("%s: %s", c, out)
+		}
+	}
+	const streams = 4000
+	payload := []byte("spawn race payload")
+	for i := 0; i < streams; i++ {
+		pl.Dispatch(mkSeg(t, uint16(10000+i), 1, payload))
+	}
+	pl.Drain()
+	if got := pl.StatsSnapshot().Intercepted; got != streams {
+		t.Fatalf("intercepted %d packets, dispatched %d", got, streams)
+	}
+	k := filter.Key{SrcIP: ip.MustParseAddr("11.11.10.99"), SrcPort: 10000 + streams/2,
+		DstIP: ip.MustParseAddr("11.11.10.10"), DstPort: 5001}
+	st, ok := pl.FilterStats(k, "ttsf").(filters.TTSFStats)
+	if !ok || st.BytesIn != int64(len(payload)) {
+		t.Fatalf("ttsf stats for %v: %+v ok=%v, want BytesIn=%d", k, st, ok, len(payload))
+	}
+	if got := pl.FilterStats(k, "snoop"); got != nil {
+		t.Fatalf("stats for an unattached filter: %+v", got)
 	}
 }

@@ -153,11 +153,6 @@ func runE4(w io.Writer) {
 	}
 	fmt.Fprintf(w, "\nsender sent %d B and completed=%v; mobile received %d B (segment 2 excised)\n",
 		res.Sent, res.Client.State().String() == "CLOSED" || res.Client.State().String() == "TIME_WAIT", len(res.Received))
-	k := filterKeyFor(7)
-	if st, ok := ttsfStats(k); ok {
-		fmt.Fprintf(w, "ttsf: edits=%d bytesIn=%d bytesOut=%d synthesizedAcks=%d\n",
-			st.Edits, st.BytesIn, st.BytesOut, st.SynthesizedAcks)
-	}
 }
 
 func runE5(w io.Writer) {

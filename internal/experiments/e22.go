@@ -109,7 +109,7 @@ func runE22(w io.Writer) {
 		extra := ""
 		if adaptive {
 			k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 4000, DstIP: core.MobileAddr, DstPort: 4001}
-			if st, ok := filters.ADiscardStatsFor(k); ok {
+			if st, ok := sys.Plane.FilterStats(k, "adiscard").(filters.ADiscardStats); ok {
 				extra = fmt.Sprintf("adaptations: %d, final layer threshold: %d",
 					st.Adaptations, st.CurrentMaxLayer)
 			}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/filter"
-	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/tcp"
 )
@@ -168,17 +167,6 @@ func randomBytes(seed int64, n int) []byte {
 
 // parseAddr wraps ip.ParseAddr for dialers.
 func parseAddr(s string) (ip.Addr, error) { return ip.ParseAddr(s) }
-
-// filterKeyFor names the forward key of a Transfer stream to port 5001.
-func filterKeyFor(srcPort uint16) filter.Key {
-	return filter.Key{SrcIP: core.WiredAddr, SrcPort: srcPort,
-		DstIP: core.MobileAddr, DstPort: 5001}
-}
-
-// ttsfStats fetches TTSF stats for a stream key.
-func ttsfStats(k filter.Key) (filters.TTSFStats, bool) {
-	return filters.TTSFStatsFor(k)
-}
 
 // keepAliveStream opens a long-lived stream wired:7 -> mobile:1169
 // with a trickle of data so filter queues stay populated.

@@ -72,6 +72,16 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			x.resumed - y.resumed, x.aborted - y.aborted}
 	}
 
+	// ttsfStats reads k's TTSF counters from whichever plane owns the
+	// stream: the migration protocol never lets both hold it.
+	ttsfStats := func(k filter.Key) (filters.TTSFStats, bool) {
+		st, ok := sys.Plane.FilterStats(k, "ttsf").(filters.TTSFStats)
+		if !ok {
+			st, ok = sys.PlaneB.FilterStats(k, "ttsf").(filters.TTSFStats)
+		}
+		return st, ok
+	}
+
 	type leg struct {
 		name    string
 		port    uint16 // src port; dst is port+1000
@@ -129,7 +139,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 		var preBytes int64
 		var cmdOut string
 		sys.Sched.After(migrateAt, func() {
-			if st, ok := filters.TTSFStatsFor(k); ok {
+			if st, ok := ttsfStats(k); ok {
 				preBytes = st.BytesIn
 			}
 			cmdOut = sys.Plane.Command("migrate " + keyStr + " 11.11.11.2")
@@ -145,7 +155,7 @@ func MigrateDemo(seed int64, w io.Writer) error {
 			if stopProbe {
 				return
 			}
-			if st, ok := filters.TTSFStatsFor(k); ok {
+			if st, ok := ttsfStats(k); ok {
 				post, postOK = st, true
 			}
 			sys.Sched.After(50*time.Millisecond, probe)

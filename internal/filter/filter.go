@@ -350,6 +350,12 @@ type Hooks struct {
 	// per-stream state for live migration to a peer SP. Attachments
 	// without it migrate as fresh instances (fail open).
 	State StateSnapshotter
+	// Stats, when non-nil, returns a point-in-time copy of the
+	// instance's counters (a filter-specific struct value). The proxy
+	// that owns the attachment serves it through FilterStats for as
+	// long as the attachment is live; it is called on the owning
+	// goroutine only.
+	Stats func() any
 }
 
 // StateSnapshotter is the optional migration contract of a filter

@@ -47,20 +47,6 @@ type ADiscardStats struct {
 	CurrentMaxLayer   int
 }
 
-// adiscardInstances exposes per-stream state, keyed by forward key.
-var adiscardInstances = map[filter.Key]*adiscardInst{}
-
-// ADiscardStatsFor returns the stats of the adaptive-discard instance
-// on k.
-func ADiscardStatsFor(k filter.Key) (ADiscardStats, bool) {
-	if inst, ok := adiscardInstances[k]; ok {
-		st := inst.stats
-		st.CurrentMaxLayer = inst.maxLayer
-		return st, true
-	}
-	return ADiscardStats{}, false
-}
-
 type adiscardInst struct {
 	env      filter.Env
 	metrics  filter.Metrics
@@ -104,13 +90,16 @@ func (f *adiscard) New(env filter.Env, k filter.Key, args []string) error {
 		OnClose: func() {
 			inst.closed = true
 			inst.timer.Stop()
-			delete(adiscardInstances, k)
+		},
+		Stats: func() any {
+			st := inst.stats
+			st.CurrentMaxLayer = inst.maxLayer
+			return st
 		},
 	})
 	if err != nil {
 		return err
 	}
-	adiscardInstances[k] = inst
 	inst.arm()
 	return nil
 }

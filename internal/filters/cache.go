@@ -76,17 +76,6 @@ type CacheStats struct {
 	Hits, Misses, Stored int64
 }
 
-// cacheInstances exposes per-stream stats, keyed by the request key.
-var cacheInstances = map[filter.Key]*cacheInst{}
-
-// CacheStatsFor returns the stats of the cache instance on k.
-func CacheStatsFor(k filter.Key) (CacheStats, bool) {
-	if inst, ok := cacheInstances[k]; ok {
-		return inst.stats, true
-	}
-	return CacheStats{}, false
-}
-
 type cacheInst struct {
 	env      filter.Env
 	maxEntry int
@@ -114,18 +103,14 @@ func (f *cacheFilter) New(env filter.Env, k filter.Key, args []string) error {
 	}
 	_, err = env.Attach(k, filter.Hooks{
 		Filter: "cache", Priority: filter.Normal,
-		Out: inst.answerRequest,
-		OnClose: func() {
-			delete(cacheInstances, k)
-			detachRev()
-		},
+		Out:     inst.answerRequest,
+		OnClose: detachRev,
+		Stats:   func() any { return inst.stats },
 	})
 	if err != nil {
 		detachRev()
-		return err
 	}
-	cacheInstances[k] = inst
-	return nil
+	return err
 }
 
 type badCacheSize string

@@ -32,17 +32,6 @@ type DiscardStats struct {
 	BytesPassed, BytesDiscarded int64
 }
 
-// discardInstances exposes per-stream stats, keyed by forward key.
-var discardInstances = map[filter.Key]*discardInst{}
-
-// DiscardStatsFor returns the stats of the discard instance on k.
-func DiscardStatsFor(k filter.Key) (DiscardStats, bool) {
-	if inst, ok := discardInstances[k]; ok {
-		return inst.stats, true
-	}
-	return DiscardStats{}, false
-}
-
 type discardInst struct {
 	maxLayer uint8
 	stats    DiscardStats
@@ -77,11 +66,7 @@ func (f *discard) New(env filter.Env, k filter.Key, args []string) error {
 			inst.stats.Passed++
 			inst.stats.BytesPassed += int64(len(p.Raw))
 		},
-		OnClose: func() { delete(discardInstances, k) },
+		Stats: func() any { return inst.stats },
 	})
-	if err != nil {
-		return err
-	}
-	discardInstances[k] = inst
-	return nil
+	return err
 }

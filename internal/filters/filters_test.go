@@ -265,7 +265,10 @@ func TestCompressionLossyWireless(t *testing.T) {
 func TestSnoopImprovesLossyTransfer(t *testing.T) {
 	// §8.2.1: with snoop, wireless losses are repaired locally and the
 	// sender sees far fewer retransmissions.
-	run := func(withSnoop bool) (time.Duration, tcp.Stats) {
+	// run also returns the snoop instance's local retransmissions, read
+	// from the proxy while the stream is live (the tcp filter tears the
+	// queue down at close).
+	run := func(withSnoop bool) (time.Duration, tcp.Stats, int64) {
 		r := newRig(t, rigOpts{
 			seed: 42,
 			wireless: netsim.LinkConfig{Bandwidth: 2e6, Delay: 25 * time.Millisecond,
@@ -282,8 +285,13 @@ func TestSnoopImprovesLossyTransfer(t *testing.T) {
 		payload := pattern(300_000)
 		var first, done time.Duration = -1, -1
 		var rcvd bytes.Buffer
+		var localRexmits int64
+		k := filter.Key{SrcIP: wiredAddr, SrcPort: 7, DstIP: mobileAddr, DstPort: 5001}
 		r.mStack.Listen(5001, func(c *tcp.Conn) {
 			c.OnData = func(b []byte) {
+				if st, ok := r.proxyA.FilterStats(k, "snoop").(filters.SnoopStats); ok {
+					localRexmits = st.LocalRexmits
+				}
 				if first < 0 {
 					first = time.Duration(r.sched.Now())
 				}
@@ -304,12 +312,15 @@ func TestSnoopImprovesLossyTransfer(t *testing.T) {
 		}
 		// Measure from the first delivered byte: handshake losses are
 		// luck (snoop cannot cache SYNs) and would swamp the comparison.
-		return done - first, client.Stats()
+		return done - first, client.Stats(), localRexmits
 	}
-	tPlain, stPlain := run(false)
-	tSnoop, stSnoop := run(true)
-	t.Logf("plain: %v (%d sender rexmits), snoop: %v (%d sender rexmits)",
-		tPlain, stPlain.Retransmits, tSnoop, stSnoop.Retransmits)
+	tPlain, stPlain, _ := run(false)
+	tSnoop, stSnoop, localRexmits := run(true)
+	t.Logf("plain: %v (%d sender rexmits), snoop: %v (%d sender rexmits, %d local)",
+		tPlain, stPlain.Retransmits, tSnoop, stSnoop.Retransmits, localRexmits)
+	if localRexmits == 0 {
+		t.Error("snoop made no local retransmissions on a 12% lossy link")
+	}
 	if stSnoop.Retransmits >= stPlain.Retransmits {
 		t.Errorf("snoop did not reduce sender retransmits: %d vs %d",
 			stSnoop.Retransmits, stPlain.Retransmits)
@@ -412,7 +423,8 @@ func TestDiscardDropsEnhancementLayers(t *testing.T) {
 	if layerCount[2] != 0 || layerCount[3] != 0 {
 		t.Fatalf("enhancement layers leaked through: %v", layerCount)
 	}
-	st, ok := filters.DiscardStatsFor(filter.Key{SrcIP: wiredAddr, SrcPort: 4000, DstIP: mobileAddr, DstPort: 4001})
+	k := filter.Key{SrcIP: wiredAddr, SrcPort: 4000, DstIP: mobileAddr, DstPort: 4001}
+	st, ok := r.proxyA.FilterStats(k, "discard").(filters.DiscardStats)
 	if !ok || st.Discarded != 100 || st.Passed != 100 {
 		t.Fatalf("discard stats: %+v ok=%v", st, ok)
 	}
@@ -462,6 +474,12 @@ func TestTranslateMonoTiles(t *testing.T) {
 	}
 	if rcvdBytes*2 > sentBytes {
 		t.Fatalf("translation saved too little: %d -> %d bytes", sentBytes, rcvdBytes)
+	}
+	k := filter.Key{SrcIP: wiredAddr, SrcPort: 4000, DstIP: mobileAddr, DstPort: 4001}
+	st, ok := r.proxyA.FilterStats(k, "translate").(filters.TranslateStats)
+	if !ok || st.Converted != int64(len(tiles)) || st.BytesIn != int64(sentBytes) || st.BytesOut != int64(rcvdBytes) {
+		t.Fatalf("translate stats %+v ok=%v, want %d tiles, %d B in, %d B out",
+			st, ok, len(tiles), sentBytes, rcvdBytes)
 	}
 }
 
@@ -534,7 +552,7 @@ func TestCacheFilterAnswersRepeats(t *testing.T) {
 		t.Fatal("cached response differs from the original")
 	}
 	k := filter.Key{SrcIP: mobileAddr, SrcPort: 6001, DstIP: wiredAddr, DstPort: 6000}
-	st, ok := filters.CacheStatsFor(k)
+	st, ok := r.proxyA.FilterStats(k, "cache").(filters.CacheStats)
 	if !ok || st.Hits != 1 || st.Misses != 2 || st.Stored != 2 {
 		t.Fatalf("cache stats: %+v ok=%v", st, ok)
 	}
@@ -588,7 +606,7 @@ func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 	// Phase 1 (4 Mb/s): everything fits, threshold stays at the ceiling.
 	r.sched.RunFor(5 * time.Second)
 	k := filter.Key{SrcIP: wiredAddr, SrcPort: 4000, DstIP: mobileAddr, DstPort: 4001}
-	st, ok := filters.ADiscardStatsFor(k)
+	st, ok := r.proxyA.FilterStats(k, "adiscard").(filters.ADiscardStats)
 	if !ok {
 		t.Fatal("no adiscard instance")
 	}
@@ -599,7 +617,7 @@ func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 	// Phase 2: the mobile moves to a 600 kb/s cell.
 	r.wless.Shape(netsim.DirBoth, netsim.Shaping{Fields: netsim.ShapeBandwidth, Bandwidth: 600e3})
 	r.sched.RunFor(6 * time.Second)
-	st, _ = filters.ADiscardStatsFor(k)
+	st, _ = r.proxyA.FilterStats(k, "adiscard").(filters.ADiscardStats)
 	if st.CurrentMaxLayer >= 3 {
 		t.Fatalf("phase 2 threshold %d, want < 3 (link saturated)", st.CurrentMaxLayer)
 	}
@@ -611,7 +629,7 @@ func TestAdaptiveDiscardFollowsBandwidth(t *testing.T) {
 	// Phase 3: back to a fast cell — layers are restored.
 	r.wless.Shape(netsim.DirBoth, netsim.Shaping{Fields: netsim.ShapeBandwidth, Bandwidth: 4e6})
 	r.sched.RunFor(6 * time.Second)
-	st, _ = filters.ADiscardStatsFor(k)
+	st, _ = r.proxyA.FilterStats(k, "adiscard").(filters.ADiscardStats)
 	if st.CurrentMaxLayer <= low {
 		t.Fatalf("phase 3 threshold %d did not recover from %d", st.CurrentMaxLayer, low)
 	}

@@ -36,19 +36,6 @@ type SnoopStats struct {
 	DupAcksSuppressed int64
 }
 
-// snoopInstances lets experiments retrieve per-stream stats; keyed by
-// the forward stream key. Single simulation goroutine — no locking.
-var snoopInstances = map[filter.Key]*snoopInst{}
-
-// SnoopStatsFor returns the stats of the snoop instance on key k, if
-// any.
-func SnoopStatsFor(k filter.Key) (SnoopStats, bool) {
-	if inst, ok := snoopInstances[k]; ok {
-		return inst.stats, true
-	}
-	return SnoopStats{}, false
-}
-
 type cachedSeg struct {
 	raw     []byte // full IP datagram as last forwarded
 	seq     uint32
@@ -100,16 +87,14 @@ func (f *snoop) New(env filter.Env, k filter.Key, args []string) error {
 		OnClose: func() {
 			inst.closed = true
 			inst.timer.Stop()
-			delete(snoopInstances, k)
 			detachRev()
 		},
+		Stats: func() any { return inst.stats },
 	})
 	if err != nil {
 		detachRev()
-		return err
 	}
-	snoopInstances[k] = inst
-	return nil
+	return err
 }
 
 // dataToMobile caches data segments on their way to the wireless link.

@@ -33,17 +33,6 @@ type TranslateStats struct {
 	BytesIn, BytesOut int64
 }
 
-// translateInstances exposes per-stream stats, keyed by forward key.
-var translateInstances = map[filter.Key]*translateInst{}
-
-// TranslateStatsFor returns the stats of the translate instance on k.
-func TranslateStatsFor(k filter.Key) (TranslateStats, bool) {
-	if inst, ok := translateInstances[k]; ok {
-		return inst.stats, true
-	}
-	return TranslateStats{}, false
-}
-
 type translateInst struct {
 	mode  string
 	stats TranslateStats
@@ -92,11 +81,7 @@ func (f *translate) New(env filter.Env, k filter.Key, args []string) error {
 				p.Drop()
 			}
 		},
-		OnClose: func() { delete(translateInstances, k) },
+		Stats: func() any { return inst.stats },
 	})
-	if err != nil {
-		return err
-	}
-	translateInstances[k] = inst
-	return nil
+	return err
 }

@@ -57,17 +57,6 @@ type TTSFStats struct {
 	Unreconstructable int64 // retransmissions dropped (partial overlap)
 }
 
-// ttsfInstances exposes per-stream stats; keyed by the forward key.
-var ttsfInstances = map[filter.Key]*ttsfInst{}
-
-// TTSFStatsFor returns the stats of the TTSF on key k, if any.
-func TTSFStatsFor(k filter.Key) (TTSFStats, bool) {
-	if inst, ok := ttsfInstances[k]; ok {
-		return inst.stats, true
-	}
-	return TTSFStats{}, false
-}
-
 // edit records one transformation of an original sequence range.
 type edit struct {
 	origStart uint32
@@ -121,20 +110,16 @@ func (f *ttsf) New(env filter.Env, k filter.Key, args []string) error {
 	}
 	_, err = env.Attach(k, filter.Hooks{
 		Filter: "ttsf", Priority: PriorityTTSF,
-		In:  inst.forwardIn,
-		Out: inst.forwardOut,
-		OnClose: func() {
-			delete(ttsfInstances, k)
-			detachRev()
-		},
-		State: inst,
+		In:      inst.forwardIn,
+		Out:     inst.forwardOut,
+		OnClose: detachRev,
+		State:   inst,
+		Stats:   func() any { return inst.stats },
 	})
 	if err != nil {
 		detachRev()
-		return err
 	}
-	ttsfInstances[k] = inst
-	return nil
+	return err
 }
 
 // --- migration ----------------------------------------------------------------

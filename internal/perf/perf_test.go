@@ -334,7 +334,7 @@ func BenchmarkTTSFEditMap(b *testing.B) {
 			}
 			k := filter.Key{SrcIP: core.WiredAddr, SrcPort: 7,
 				DstIP: core.MobileAddr, DstPort: 5001}
-			if st, ok := filters.TTSFStatsFor(k); !ok || st.Edits != int64(edits) {
+			if st, ok := sys.Plane.FilterStats(k, "ttsf").(filters.TTSFStats); !ok || st.Edits != int64(edits) {
 				b.Fatalf("edit log has %d edits, want %d", st.Edits, edits)
 			}
 			ack := mkTCP(b, seq, 0) // pure ACK at the frontier

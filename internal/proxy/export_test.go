@@ -20,8 +20,8 @@ func (s *snapInst) RestoreState(b []byte) error {
 }
 
 // exportCatalog registers "snap" (snapshottable, state seeded from its
-// arg) and "plain" (no snapshotter — must migrate fresh). Instances
-// are recorded in the maps so the test can inspect both proxies.
+// arg) and "plain" (no snapshotter — must migrate fresh). Each new
+// instance is recorded in the maps so the test can inspect both proxies.
 func exportCatalog(snaps, plains map[string][]*snapInst, tag *string) *filter.Catalog {
 	cat := filter.NewCatalog()
 	cat.Register("snap", func() filter.Factory {

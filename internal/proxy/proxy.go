@@ -909,6 +909,22 @@ func (p *Proxy) Streams() []StreamInfo {
 	return out
 }
 
+// FilterStats returns the counters of the named filter's instance on
+// the exact queue k: the Hooks.Stats value of the first such attachment
+// that sets one, or nil when the stream has none (never attached, or
+// already torn down). Callers type-assert the filter's stats struct.
+// Owning-goroutine only.
+func (p *Proxy) FilterStats(k filter.Key, name string) any {
+	if q := p.queues[k]; q != nil {
+		for _, a := range q.attached {
+			if a.hooks.Filter == name && a.hooks.Stats != nil {
+				return a.hooks.Stats()
+			}
+		}
+	}
+	return nil
+}
+
 // StreamInfo describes one live serviced stream for monitoring.
 type StreamInfo struct {
 	Key     filter.Key
