@@ -1,30 +1,17 @@
 // Command wsim is the experiment driver: it regenerates the thesis's
 // tables and figures (DESIGN.md's E1–E16 index) on the deterministic
-// network simulator.
+// network simulator, and runs the seeded end-to-end scenarios of
+// experiments.Scenarios.
 //
 // Usage:
 //
-//	wsim -list             list experiments
+//	wsim -list             list experiments and scenarios
 //	wsim -exp E7           run one experiment
 //	wsim -all              run every experiment in order
-//	wsim -events           run the observability demo (full event log
-//	                       + metrics snapshot; byte-identical per seed)
-//	wsim -chaos            run the chaos soak (fault matrix + resilience
-//	                       assertions; byte-identical per seed)
-//	wsim -adapt            run the adaptive-services scenario (policy
-//	                       engines close the EEM→SP loop around a link
-//	                       degradation; byte-identical per seed)
-//	wsim -flows            run the flow-log analytics scenario (per-flow
-//	                       L4 records drive a policy rule on the fleet
-//	                       retrans ratio; byte-identical per seed)
-//	wsim -migrate          run the live stream-migration scenario (proxy-
-//	                       to-proxy handoff under a fault matrix;
-//	                       byte-identical per seed)
-//	wsim -mmwave           run the 5G mmWave scenario (blockage-trace
-//	                       replay on a dual mmWave+LTE topology; mwin
-//	                       window control and policy-driven leg shedding
-//	                       vs a no-proxy baseline; byte-identical per
-//	                       seed)
+//	wsim -run mmwave       run one scenario at its own seed; its output
+//	                       is byte-identical per seed
+//	wsim -run chaos -seed 42
+//	                       run one scenario at another seed
 package main
 
 import (
@@ -33,66 +20,53 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 )
 
 func main() {
-	list := flag.Bool("list", false, "list experiments")
+	list := flag.Bool("list", false, "list experiments and scenarios")
 	exp := flag.String("exp", "", "run one experiment by id (e.g. E7)")
 	all := flag.Bool("all", false, "run every experiment")
-	events := flag.Bool("events", false, "run the observability demo scenario")
-	chaos := flag.Bool("chaos", false, "run the chaos soak scenario (fault injection)")
-	adapt := flag.Bool("adapt", false, "run the adaptive-services scenario (policy engine)")
-	flows := flag.Bool("flows", false, "run the flow-log analytics scenario (per-flow records feed the policy loop)")
-	migrateFlag := flag.Bool("migrate", false, "run the live stream-migration scenario (crash-safe proxy-to-proxy handoff)")
-	mmwave := flag.Bool("mmwave", false, "run the 5G mmWave scenario (blockage-trace replay, mwin window control, LTE shedding)")
-	seed := flag.Int64("seed", 7, "simulation seed for -events/-chaos/-adapt/-flows/-migrate/-mmwave")
+	run := flag.String("run", "", "run one scenario by name (see -list)")
+	seed := flag.Int64("seed", 0, "simulation seed for -run (default: the scenario's own seed)")
 	flag.Parse()
 
+	var err error
 	switch {
 	case *list:
 		for _, e := range experiments.All() {
 			fmt.Printf("%-4s %-55s %s\n", e.ID, e.Paper, e.Description)
 		}
-	case *exp != "":
-		if err := experiments.Run(*exp, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		for _, s := range experiments.Scenarios {
+			fmt.Printf("-run %-8s seed %-3d %s\n", s.Name, s.Seed, s.Doc)
 		}
+	case *exp != "":
+		err = experiments.Run(*exp, os.Stdout)
 	case *all:
 		experiments.RunAll(os.Stdout)
-	case *events:
-		if err := experiments.ObsDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *chaos:
-		if err := faults.Chaos(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *adapt:
-		if err := experiments.AdaptDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *flows:
-		if err := experiments.FlowsDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *migrateFlag:
-		if err := experiments.MigrateDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case *mmwave:
-		if err := experiments.MMWaveDemo(*seed, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	case *run != "":
+		err = runScenario(*run, *seed)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// runScenario runs the named scenario to stdout at seed, or at the
+// scenario's own seed when -seed was not given.
+func runScenario(name string, seed int64) error {
+	for _, s := range experiments.Scenarios {
+		if s.Name == name {
+			flag.Visit(func(f *flag.Flag) {
+				if f.Name == "seed" {
+					s.Seed = seed
+				}
+			})
+			return s.Run(s.Seed, os.Stdout)
+		}
+	}
+	return fmt.Errorf("wsim: unknown scenario %q (see -list)", name)
 }

@@ -518,6 +518,8 @@ func (pl *Plane) RegisterMetrics(r *obs.Registry, prefix string) {
 	r.Counter(prefix+".dropped_by_filter", func() int64 { return pl.StatsSnapshot().DroppedByFilter })
 	r.Counter(prefix+".injected", func() int64 { return pl.StatsSnapshot().Injected })
 	r.Counter(prefix+".reinjected", func() int64 { return pl.StatsSnapshot().Reinjected })
+	r.Counter(prefix+".hook_panics", func() int64 { return pl.StatsSnapshot().HookPanics })
+	r.Counter(prefix+".filter_quarantines", func() int64 { return pl.StatsSnapshot().FilterQuarantines })
 	r.Counter(prefix+".registry_misses", func() int64 { return pl.StatsSnapshot().RegistryMisses })
 	r.Counter(prefix+".registry_rebuilds", func() int64 { return pl.StatsSnapshot().RegistryRebuilds })
 	r.Gauge(prefix+".flow.active", func() float64 { return float64(pl.FlowStats().Active) })

@@ -12,6 +12,8 @@ import (
 	"repro/internal/filters"
 	"repro/internal/ip"
 	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/proxy"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -237,5 +239,33 @@ func TestConcurrentCommandOutputs(t *testing.T) {
 	}
 	if out := pl.Command("streams"); out != "" {
 		t.Fatalf("streams with no traffic: %q", out)
+	}
+}
+
+// TestConcurrentPlaneRegistersProxyMetrics pins the multi-shard
+// metrics surface to the single proxy's: every metric a proxy
+// registers under its prefix, a 4-shard concurrent plane registers as
+// the merged aggregate under the same name, so a dashboard or policy
+// rule reads the same names at any shard count.
+func TestConcurrentPlaneRegistersProxyMetrics(t *testing.T) {
+	cat := filter.NewCatalog()
+	filters.RegisterAll(cat)
+	node := netsim.New(sim.NewScheduler(1)).AddNode("proxy")
+	one := obs.NewRegistry()
+	proxy.NewDetached(node, cat).RegisterMetrics(one, "proxy")
+
+	pl := dataplane.NewConcurrent(dataplane.ConcurrentConfig{Shards: 4, Catalog: cat, Seed: 1})
+	defer pl.Close()
+	four := obs.NewRegistry()
+	pl.RegisterMetrics(four, "proxy")
+
+	have := map[string]bool{}
+	for _, n := range four.Names() {
+		have[n] = true
+	}
+	for _, n := range one.Names() {
+		if !have[n] {
+			t.Errorf("4-shard plane does not register %s, which the proxy does", n)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"repro/internal/policy"
 )
 
-// AdaptDemo is the adaptive-services scenario behind `wsim -adapt` and
-// `make adapt`: the closed EEM→SP control loop of the thesis running
+// AdaptDemo is the adaptive-services scenario behind `wsim -run adapt`:
+// the closed EEM→SP control loop of the thesis running
 // end to end. A double-proxy deployment carries bulk transfers while
 // policy engines on both proxies watch the wireless bandwidth through
 // the comma_* client API. When an injected fault degrades the link
@@ -30,8 +30,8 @@ import (
 // scenario asserts one complete load→hold→unload hysteresis cycle on
 // each engine and checksum-clean delivery on every leg. Everything
 // runs on virtual time, so the full output must be byte-identical
-// across runs with the same seed; TestPolicyDeterminism and
-// `make adapt` diff exactly this output.
+// across runs with the same seed; TestScenarios and
+// `make determinism` diff exactly this output.
 func AdaptDemo(seed int64, w io.Writer) error {
 	const (
 		enterBound = 1_000_000 // b/s: rules engage below this

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/faults"
 )
 
 // Experiment is one runnable reproduction.
@@ -63,4 +65,25 @@ func RunAll(w io.Writer) {
 		Run(e.ID, w)
 		fmt.Fprintln(w)
 	}
+}
+
+// Scenario is one seeded, self-asserting end-to-end scenario. Run
+// writes the scenario's whole output to w and returns an error when
+// one of the scenario's own checks fails; the output is a function of
+// the seed alone, byte for byte.
+type Scenario struct {
+	Name string
+	Seed int64 // the seed the determinism gates and committed records use
+	Doc  string
+	Run  func(seed int64, w io.Writer) error
+}
+
+// Scenarios is every scenario, in the order `wsim -list` prints them.
+var Scenarios = []Scenario{
+	{"events", 7, "observability demo: full event log + metrics snapshot", ObsDemo},
+	{"chaos", 11, "chaos soak: fault matrix + resilience assertions", faults.Chaos},
+	{"adapt", 13, "adaptive services: policy engines close the EEM→SP loop around a link degradation", AdaptDemo},
+	{"flows", 17, "flow-log analytics: per-flow records drive a policy rule on the fleet retrans ratio", FlowsDemo},
+	{"migrate", 23, "live stream migration: proxy-to-proxy handoff under a fault matrix", MigrateDemo},
+	{"mmwave", 7, "5G mmWave: blockage-trace replay, mwin window control and LTE shedding vs a no-proxy baseline", MMWaveDemo},
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// FlowsDemo is the flow-log analytics scenario behind `wsim -flows`
-// and `make flows-determinism`: the policy loop closed over
+// FlowsDemo is the flow-log analytics scenario behind `wsim -run flows`:
+// the policy loop closed over
 // traffic-derived variables instead of link metrics. The proxy's flow
 // log accumulates per-flow L4 records (retransmissions by sequence
 // regression, zero-window events, SYN→SYN-ACK and data→ACK RTT) on the
@@ -28,7 +28,7 @@ import (
 // loss clears and the ratio windows decay to zero. Three checksummed
 // transfer legs bracket the cycle. Everything runs on virtual time:
 // the full output must be byte-identical across runs with the same
-// seed — TestFlowsDeterminism and `make flows-determinism` diff it.
+// seed — TestScenarios and `make determinism` diff it.
 func FlowsDemo(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{
 		Seed:         seed,

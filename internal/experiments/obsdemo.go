@@ -10,7 +10,7 @@ import (
 	"repro/internal/netsim"
 )
 
-// ObsDemo is the determinism-gate scenario behind `wsim -events`: a
+// ObsDemo is the determinism-gate scenario behind `wsim -run events`: a
 // full deployment (wired host, proxy+EEM, lossy ARQ wireless link,
 // mobile host, Kati workstation) with packet tracing on, two EEM
 // client sessions, and a filtered bulk transfer. It dumps the complete
@@ -18,7 +18,7 @@ import (
 //
 // Everything printed derives from virtual time and the seeded
 // scheduler, so two runs with the same seed must be byte-identical —
-// TestObsDeterminism and `make obs-determinism` diff exactly this
+// TestScenarios and `make determinism` diff exactly this
 // output. The scenario deliberately exercises the historical
 // nondeterminism sources: multiple EEM sessions ticked every second
 // (map-ordered before the ordered-slice fix) and ARQ recovery

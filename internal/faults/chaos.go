@@ -13,8 +13,7 @@ import (
 	"repro/internal/policy"
 )
 
-// Chaos is the chaos soak scenario behind `wsim -chaos` and
-// `make chaos`: a full Comma deployment runs a sequence of bulk
+// Chaos is the chaos soak scenario behind `wsim -run chaos`: a full Comma deployment runs a sequence of bulk
 // transfers while the Injector and the chaos filter break things
 // around and inside it — link flaps, an asymmetric partition, quality
 // degradation, an EEM server crash with a supervised client riding it,
@@ -28,7 +27,7 @@ import (
 // answers afterwards. Everything — fault script, recovery, transfers —
 // runs on virtual time with the seeded scheduler, so the full output
 // (per-leg results, event log, metrics) must be byte-identical across
-// runs with the same seed; TestChaosDeterminism and `make chaos` diff
+// runs with the same seed; TestScenarios and `make determinism` diff
 // exactly this output.
 func Chaos(seed int64, w io.Writer) error {
 	sys := core.NewSystem(core.Config{

@@ -12,8 +12,8 @@
 // Determinism contract: everything emitted derives from simulation
 // state — virtual time, seeded randomness, scheduler order. Two runs
 // of the same seeded scenario therefore produce byte-identical event
-// logs and metrics snapshots; `make obs-determinism` and the
-// TestObsDeterminism golden test enforce exactly that. Wall-clock
+// logs and metrics snapshots; `make determinism` and the
+// TestScenarios golden test enforce exactly that. Wall-clock
 // time, goroutine identity, and map iteration order must never leak
 // into an event or a snapshot.
 package obs
