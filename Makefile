@@ -25,9 +25,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Native fuzz targets, each for $(FUZZTIME): codec round-trip
-# stability and no-panic over the packet parsers.
+# stability and no-panic over the packet parsers, and the wide-word
+# checksum against the 16-bit RFC 1071 reference.
 fuzz:
 	$(GO) test ./internal/ip -fuzz FuzzIPParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ip -fuzz FuzzChecksumParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcp -fuzz FuzzTCPParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzFilterParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/filter -fuzz FuzzSteerKey -fuzztime $(FUZZTIME)

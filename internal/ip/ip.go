@@ -123,17 +123,32 @@ func (h *Header) HeaderLength() int { return HeaderLen + len(h.Options) }
 // setting TotalLen and Checksum. The caller's Header is updated with
 // the computed values.
 func (h *Header) Marshal(payload []byte) ([]byte, error) {
-	optLen := len(h.Options)
-	if optLen%4 != 0 || optLen > 40 {
-		return nil, fmt.Errorf("ip: bad options length %d", optLen)
+	hl := h.HeaderLength()
+	b := make([]byte, hl+len(payload))
+	copy(b[hl:], payload)
+	if err := h.PutHeader(b); err != nil {
+		return nil, err
 	}
-	hl := HeaderLen + optLen
-	total := hl + len(payload)
-	if total > MaxPacket {
-		return nil, fmt.Errorf("ip: packet too large (%d bytes)", total)
+	return b, nil
+}
+
+// PutHeader encodes the header into the first HeaderLength() bytes of
+// b, a whole datagram whose payload already follows that headroom, so
+// a sender that reserves the headroom builds the datagram without a
+// copy. Like Marshal, it computes TotalLen (here len(b)) and Checksum
+// and stores both in h.
+func (h *Header) PutHeader(b []byte) error {
+	if optLen := len(h.Options); optLen%4 != 0 || optLen > 40 {
+		return fmt.Errorf("ip: bad options length %d", optLen)
 	}
-	h.TotalLen = uint16(total)
-	b := make([]byte, total)
+	if len(b) < h.HeaderLength() {
+		return ErrTruncated
+	}
+	if len(b) > MaxPacket {
+		return fmt.Errorf("ip: packet too large (%d bytes)", len(b))
+	}
+	hl := h.HeaderLength()
+	h.TotalLen = uint16(len(b))
 	b[0] = 4<<4 | byte(hl/4)
 	b[1] = h.TOS
 	binary.BigEndian.PutUint16(b[2:], h.TotalLen)
@@ -141,14 +156,13 @@ func (h *Header) Marshal(payload []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(b[6:], uint16(h.Flags)<<13|h.FragOff&0x1fff)
 	b[8] = h.TTL
 	b[9] = h.Protocol
-	// checksum at b[10:12] computed below
+	b[10], b[11] = 0, 0 // checksum field must be zero while summing
 	binary.BigEndian.PutUint32(b[12:], uint32(h.Src))
 	binary.BigEndian.PutUint32(b[16:], uint32(h.Dst))
-	copy(b[20:], h.Options)
+	copy(b[HeaderLen:hl], h.Options)
 	h.Checksum = Checksum(b[:hl])
 	binary.BigEndian.PutUint16(b[10:], h.Checksum)
-	copy(b[hl:], payload)
-	return b, nil
+	return nil
 }
 
 // Unmarshal decodes an IPv4 header from b. It returns the decoded
@@ -206,23 +220,47 @@ func Checksum(b []byte) uint16 {
 	return finishChecksum(sumBytes(0, b))
 }
 
-// sumBytes accumulates the 16-bit ones'-complement sum of b onto acc.
-func sumBytes(acc uint32, b []byte) uint32 {
-	n := len(b) &^ 1
-	for i := 0; i < n; i += 2 {
-		acc += uint32(binary.BigEndian.Uint16(b[i:]))
+// sumBytes adds the ones'-complement sum of b to acc. It adds 32-bit
+// big-endian words, 32 bytes per iteration, into a 64-bit accumulator
+// that cannot overflow on any datagram, and leaves the folding to
+// finishChecksum. Since 2^16 ≡ 1 mod 0xffff, a 32-bit word adds the
+// same as its two 16-bit halves (RFC 1071 §2), so the result folds to
+// exactly the 16-bit loop's.
+func sumBytes(acc uint64, b []byte) uint64 {
+	for len(b) >= 32 {
+		acc += uint64(binary.BigEndian.Uint32(b[0:])) + uint64(binary.BigEndian.Uint32(b[4:])) +
+			uint64(binary.BigEndian.Uint32(b[8:])) + uint64(binary.BigEndian.Uint32(b[12:])) +
+			uint64(binary.BigEndian.Uint32(b[16:])) + uint64(binary.BigEndian.Uint32(b[20:])) +
+			uint64(binary.BigEndian.Uint32(b[24:])) + uint64(binary.BigEndian.Uint32(b[28:]))
+		b = b[32:]
 	}
-	if len(b)%2 == 1 {
-		acc += uint32(b[len(b)-1]) << 8
+	for len(b) >= 4 {
+		acc += uint64(binary.BigEndian.Uint32(b))
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		acc += uint64(binary.BigEndian.Uint16(b))
+		b = b[2:]
+	}
+	if len(b) == 1 {
+		acc += uint64(b[0]) << 8
 	}
 	return acc
 }
 
-func finishChecksum(acc uint32) uint16 {
+func finishChecksum(acc uint64) uint16 {
 	for acc>>16 != 0 {
 		acc = acc&0xffff + acc>>16
 	}
 	return ^uint16(acc)
+}
+
+// UpdateChecksum returns checksum ck after one 16-bit word it covers
+// changed from m to m2, without re-reading the rest of the data
+// (RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m')). Over data whose checksum
+// ck was correct it equals a full recompute, 0x0000 included.
+func UpdateChecksum(ck, m, m2 uint16) uint16 {
+	return finishChecksum(uint64(^ck) + uint64(^m) + uint64(m2))
 }
 
 // PseudoHeaderChecksum starts a transport checksum with the IPv4

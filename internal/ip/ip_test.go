@@ -242,3 +242,31 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PutHeader writes into reserved headroom the same bytes Marshal
+// builds, and rejects a buffer too short for the header.
+func TestPutHeaderMatchesMarshal(t *testing.T) {
+	mk := func() Header {
+		return Header{TTL: 9, Protocol: ProtoUDP, ID: 77, Src: AddrFrom4(10, 0, 0, 1),
+			Dst: AddrFrom4(10, 0, 0, 2), Options: []byte{1, 1, 1, 0}}
+	}
+	payload := []byte("payload bytes")
+	h := mk()
+	want, err := h.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	copy(got[h.HeaderLength():], payload)
+	h2 := mk()
+	if err := h2.PutHeader(got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || h2.TotalLen != h.TotalLen || h2.Checksum != h.Checksum {
+		t.Fatalf("PutHeader wrote % x (len %d ck %#04x), Marshal % x (len %d ck %#04x)",
+			got, h2.TotalLen, h2.Checksum, want, h.TotalLen, h.Checksum)
+	}
+	if err := h2.PutHeader(make([]byte, h2.HeaderLength()-1)); err == nil {
+		t.Fatal("PutHeader accepted a buffer shorter than the header")
+	}
+}

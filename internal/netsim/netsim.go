@@ -147,7 +147,10 @@ type direction struct {
 	queued   int
 	stats    LinkStats
 	down     bool
+	dequeue  func() // unqueue, bound once at Connect
 }
+
+func (d *direction) unqueue() { d.queued-- }
 
 // Link is a duplex point-to-point link between two interfaces.
 type Link struct {
@@ -316,6 +319,8 @@ type Network struct {
 	// obs, when non-nil, receives link-level events (queue drops,
 	// losses, ARQ activity). Never touched on the lossless fast path.
 	obs *obs.Bus
+	// flights holds free in-flight records for reuse.
+	flights []*flight
 }
 
 // SetObs attaches the observability bus to the whole network.
@@ -353,6 +358,8 @@ func (n *Network) Connect(a *Node, addrA ip.Addr, b *Node, addrB ip.Addr, cfg Li
 	l.a, l.b = ia, ib
 	l.ab = direction{cfg: cfg}
 	l.ba = direction{cfg: cfg}
+	l.ab.dequeue = l.ab.unqueue
+	l.ba.dequeue = l.ba.unqueue
 	a.ifaces = append(a.ifaces, ia)
 	b.ifaces = append(b.ifaces, ib)
 	return l
@@ -462,14 +469,23 @@ func (nd *Node) SendIP(dst ip.Addr, proto byte, payload []byte) {
 
 // SendIPFrom is SendIP with an explicit source address.
 func (nd *Node) SendIPFrom(src, dst ip.Addr, proto byte, payload []byte) {
+	dgram := make([]byte, ip.HeaderLen+len(payload))
+	copy(dgram[ip.HeaderLen:], payload)
+	nd.SendDatagram(src, dst, proto, dgram)
+}
+
+// SendDatagram is SendIPFrom for a payload the caller has already
+// placed behind ip.HeaderLen bytes of headroom: the header is written
+// into dgram[:ip.HeaderLen], so the datagram is built without a copy.
+// The node owns dgram from then on. It satisfies tcp.Network.
+func (nd *Node) SendDatagram(src, dst ip.Addr, proto byte, dgram []byte) {
 	nd.ipID++
 	h := ip.Header{TTL: 64, Protocol: proto, ID: nd.ipID, Src: src, Dst: dst}
-	raw, err := h.Marshal(payload)
-	if err != nil {
+	if h.PutHeader(dgram) != nil {
 		return
 	}
 	nd.Stats.IPOutRequests++
-	nd.routePacket(raw, h.Dst, nil)
+	nd.routePacket(dgram, h.Dst, nil)
 }
 
 // InjectPacket routes a pre-built raw IP datagram from this node. The
@@ -545,13 +561,13 @@ func (nd *Node) process(raw []byte, in *Iface) {
 	if h.TTL <= 1 {
 		return
 	}
-	// Rewrite TTL and checksum, then forward.
+	// Decrement TTL on a copy (raw may still be in flight elsewhere)
+	// and patch the checksum for the one header word that changed.
 	fwd := make([]byte, len(raw))
 	copy(fwd, raw)
 	fwd[8] = h.TTL - 1
-	fwd[10], fwd[11] = 0, 0
-	hl := int(fwd[0]&0x0f) * 4
-	ck := ip.Checksum(fwd[:hl])
+	word := uint16(h.Protocol)
+	ck := ip.UpdateChecksum(h.Checksum, uint16(h.TTL)<<8|word, uint16(h.TTL-1)<<8|word)
 	fwd[10], fwd[11] = byte(ck>>8), byte(ck)
 	nd.Stats.IPForwDatagrams++
 	nd.routePacket(fwd, h.Dst, in)
@@ -690,31 +706,63 @@ func (f *Iface) transmit(raw []byte) {
 	d.stats.Packets++
 	d.stats.Bytes += int64(len(raw))
 	d.stats.BusyTime += serialize
-	peer := f.peer()
 	delay := d.cfg.Delay
 	if d.cfg.Jitter > 0 {
 		delay += time.Duration(s.Rand().Int63n(int64(d.cfg.Jitter)))
 	}
-	arrive := d.nextFree.Add(delay)
-	pkt := raw // captured; callers must not mutate after transmit
-	s.At(d.nextFree, func() { d.queued-- })
-	s.At(arrive, func() {
-		if d.down || peer.link == nil {
-			return // link went down while in flight
-		}
-		if d.cfg.Loss.Drop(s.Rand(), len(pkt)) {
-			if d.cfg.ARQ != nil {
-				d.arqRecover(s, peer, pkt)
-				return
-			}
-			d.stats.Dropped++
-			if b := l.net.obs; b.Enabled() {
-				b.Emit("netsim", "loss", linkKey(peer), obs.F("len", len(pkt)))
-			}
+	fl := l.net.newFlight()
+	fl.d, fl.l, fl.peer, fl.pkt = d, l, f.peer(), raw
+	s.At(d.nextFree, d.dequeue)
+	s.At(d.nextFree.Add(delay), fl.arrive)
+}
+
+// flight is one datagram on the wire between transmit and arrival.
+// Records are recycled through Network.flights, and each binds its
+// arrive callback once, so transmit schedules without allocating. The
+// datagram itself is shared, not copied: it is immutable once
+// transmitted.
+type flight struct {
+	d      *direction
+	l      *Link
+	peer   *Iface
+	pkt    []byte
+	arrive func() // land, bound once per record
+}
+
+func (n *Network) newFlight() *flight {
+	if k := len(n.flights); k > 0 {
+		fl := n.flights[k-1]
+		n.flights = n.flights[:k-1]
+		return fl
+	}
+	fl := &flight{}
+	fl.arrive = fl.land
+	return fl
+}
+
+// land delivers the datagram at the far end, unless the link went down
+// or the loss model takes it. The record is free again before delivery,
+// so the receiver's own transmissions can reuse it.
+func (fl *flight) land() {
+	d, l, peer, pkt := fl.d, fl.l, fl.peer, fl.pkt
+	*fl = flight{arrive: fl.arrive}
+	l.net.flights = append(l.net.flights, fl)
+	if d.down || peer.link == nil {
+		return // link went down while in flight
+	}
+	s := l.net.sched
+	if d.cfg.Loss.Drop(s.Rand(), len(pkt)) {
+		if d.cfg.ARQ != nil {
+			d.arqRecover(s, peer, pkt)
 			return
 		}
-		d.stats.DeliveredPkts++
-		d.stats.DeliveredBytes += int64(len(pkt))
-		peer.node.receive(pkt, peer)
-	})
+		d.stats.Dropped++
+		if b := l.net.obs; b.Enabled() {
+			b.Emit("netsim", "loss", linkKey(peer), obs.F("len", len(pkt)))
+		}
+		return
+	}
+	d.stats.DeliveredPkts++
+	d.stats.DeliveredBytes += int64(len(pkt))
+	peer.node.receive(pkt, peer)
 }

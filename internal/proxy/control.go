@@ -239,11 +239,9 @@ const (
 func serveControlConn(stack *tcp.Stack, c *tcp.Conn, exec func(string) string) {
 	var buf []byte
 	clock := stack.Clock()
-	var idle *sim.Timer
+	var idle sim.Timer
 	armIdle := func() {
-		if idle != nil {
-			idle.Stop()
-		}
+		idle.Stop()
 		idle = clock.After(ControlIdleTimeout, func() { c.Abort() })
 	}
 	armIdle()
@@ -287,9 +285,7 @@ func serveControlConn(stack *tcp.Stack, c *tcp.Conn, exec func(string) string) {
 	}
 	c.OnRemoteClose = func() { c.Close() }
 	c.OnClose = func(error) {
-		if idle != nil {
-			idle.Stop()
-		}
+		idle.Stop()
 	}
 }
 

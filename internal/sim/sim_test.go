@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -178,5 +180,145 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A fired timer's slot is reused by the next At; the stale handle must
+// neither report active nor cancel the new occupant.
+func TestStaleFiredTimerSparesReusedSlot(t *testing.T) {
+	s := NewScheduler(1)
+	old := s.After(time.Millisecond, func() {})
+	s.Run()
+	fired := false
+	cur := s.After(time.Millisecond, func() { fired = true })
+	if cur.slot != old.slot {
+		t.Fatalf("slot not reused: %d then %d", old.slot, cur.slot)
+	}
+	if old.Active() || old.Stop() {
+		t.Fatal("fired timer still controls its reused slot")
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("stale Stop cancelled the slot's new event")
+	}
+}
+
+// The same for a stopped timer, whose heap entry is still queued when
+// its slot is reused.
+func TestStaleStoppedTimerSparesReusedSlot(t *testing.T) {
+	s := NewScheduler(1)
+	old := s.After(time.Millisecond, func() { t.Fatal("stopped timer fired") })
+	old.Stop()
+	fired := false
+	cur := s.After(time.Millisecond, func() { fired = true })
+	if cur.slot != old.slot {
+		t.Fatalf("slot not reused: %d then %d", old.slot, cur.slot)
+	}
+	if old.Active() || old.Stop() {
+		t.Fatal("stopped timer still controls its reused slot")
+	}
+	if !cur.Active() || s.Pending() != 1 {
+		t.Fatalf("new occupant active=%v pending=%d, want true 1", cur.Active(), s.Pending())
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("new occupant did not fire")
+	}
+}
+
+func TestZeroTimerInert(t *testing.T) {
+	var z Timer
+	if z.Active() || z.Stop() {
+		t.Fatal("zero Timer is not inert")
+	}
+}
+
+// Property: under a seeded random interleaving of At, Stop, Step and
+// RunUntil, events fire exactly in the order a sort of the live events
+// on (at, seq) predicts, Now follows, and Pending equals the live count.
+func TestSchedulerMatchesSortedModel(t *testing.T) {
+	type ev struct {
+		at  Time
+		seq int
+		tm  Timer
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := NewScheduler(seed)
+		var live []ev // the model: every event not yet fired or stopped
+		var fired []int
+		seq := 0
+		// next removes and returns the model's earliest live event.
+		next := func() ev {
+			sort.Slice(live, func(i, j int) bool {
+				return live[i].at < live[j].at || live[i].at == live[j].at && live[i].seq < live[j].seq
+			})
+			e := live[0]
+			live = live[1:]
+			return e
+		}
+		for op := 0; op < 2000; op++ {
+			switch k := r.Intn(10); {
+			case k < 5:
+				id := seq
+				seq++
+				// Few distinct instants, so ties on at are common.
+				at := s.Now().Add(Duration(r.Intn(8)) * time.Microsecond)
+				live = append(live, ev{at: at, seq: id, tm: s.At(at, func() { fired = append(fired, id) })})
+			case k < 7:
+				if len(live) > 0 {
+					i := r.Intn(len(live))
+					if !live[i].tm.Stop() {
+						t.Fatalf("seed %d: Stop of a live timer failed", seed)
+					}
+					live = append(live[:i], live[i+1:]...)
+				}
+			case k < 9:
+				want := len(live) > 0
+				var e ev
+				if want {
+					e = next()
+				}
+				fired = fired[:0]
+				if got := s.Step(); got != want {
+					t.Fatalf("seed %d: Step = %v, want %v", seed, got, want)
+				}
+				if want && (len(fired) != 1 || fired[0] != e.seq || s.Now() != e.at) {
+					t.Fatalf("seed %d: Step fired %v at %v, want [%d] at %v", seed, fired, s.Now(), e.seq, e.at)
+				}
+			default:
+				deadline := s.Now().Add(Duration(r.Intn(4)) * time.Microsecond)
+				var want []int
+				for len(live) > 0 {
+					e := next()
+					if e.at > deadline {
+						live = append(live, e)
+						break
+					}
+					want = append(want, e.seq)
+				}
+				fired = fired[:0]
+				s.RunUntil(deadline)
+				if len(fired) != len(want) {
+					t.Fatalf("seed %d: RunUntil fired %v, want %v", seed, fired, want)
+				}
+				for i := range want {
+					if fired[i] != want[i] {
+						t.Fatalf("seed %d: RunUntil fired %v, want %v", seed, fired, want)
+					}
+				}
+				if s.Now() != deadline {
+					t.Fatalf("seed %d: clock %v after RunUntil(%v)", seed, s.Now(), deadline)
+				}
+			}
+			if s.Pending() != len(live) {
+				t.Fatalf("seed %d op %d: Pending = %d, want %d", seed, op, s.Pending(), len(live))
+			}
+			for _, e := range live {
+				if !e.tm.Active() {
+					t.Fatalf("seed %d: live event %d reports inactive", seed, e.seq)
+				}
+			}
+		}
 	}
 }

@@ -77,11 +77,12 @@ type Conn struct {
 	rttStart     sim.Time
 	backoff      uint
 
-	rtxTimer     *sim.Timer
-	persistTimer *sim.Timer
+	rtxTimer     sim.Timer
+	onRTO        func() // onRetransmitTimeout, bound once so re-arming allocates nothing
+	persistTimer sim.Timer
 	persistShift uint
 	probePending bool // a one-byte zero-window probe is outstanding
-	twTimer      *sim.Timer
+	twTimer      sim.Timer
 
 	stats Stats
 }
@@ -102,6 +103,7 @@ func (s *Stack) newConn(t fourTuple) *Conn {
 		ssthresh: 64 * 1024,
 	}
 	c.cwnd = int(c.smss) * s.cfg.InitialCwndSegs
+	c.onRTO = c.onRetransmitTimeout
 	return c
 }
 
@@ -330,7 +332,7 @@ func (c *Conn) persistProbe() {
 	if c.persistShift < 16 {
 		c.persistShift++
 	}
-	c.persistTimer = nil
+	c.persistTimer = sim.Timer{}
 	c.updatePersist()
 }
 
@@ -343,8 +345,8 @@ func (c *Conn) sendSegment(seg *Segment) {
 	if c.stack.OnSegment != nil {
 		c.stack.OnSegment(true, c.tuple.localAddr, c.tuple.remoteAddr, seg)
 	}
-	raw := seg.Marshal(c.tuple.localAddr, c.tuple.remoteAddr)
-	c.stack.net.SendIPFrom(c.tuple.localAddr, c.tuple.remoteAddr, ip.ProtoTCP, raw)
+	src, dst := c.tuple.localAddr, c.tuple.remoteAddr
+	c.stack.net.SendDatagram(src, dst, ip.ProtoTCP, seg.datagram(src, dst))
 }
 
 // --- retransmission --------------------------------------------------------
@@ -357,7 +359,7 @@ func (c *Conn) armRetransmit() {
 	if d > c.stack.cfg.MaxRTO {
 		d = c.stack.cfg.MaxRTO
 	}
-	c.rtxTimer = c.clock().After(d, c.onRetransmitTimeout)
+	c.rtxTimer = c.clock().After(d, c.onRTO)
 }
 
 // onRetransmitTimeout implements the congestion response the thesis
@@ -365,7 +367,7 @@ func (c *Conn) armRetransmit() {
 // window collapses and the timeout backs off exponentially — exactly
 // the misbehaviour a wireless link provokes.
 func (c *Conn) onRetransmitTimeout() {
-	c.rtxTimer = nil
+	c.rtxTimer = sim.Timer{}
 	if c.state == StateClosed || c.state == StateTimeWait {
 		return
 	}

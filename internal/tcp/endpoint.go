@@ -45,10 +45,12 @@ type Network interface {
 	// SendIP emits an IP datagram with the given protocol and payload
 	// toward dst, using the host's primary address as source.
 	SendIP(dst ip.Addr, proto byte, payload []byte)
-	// SendIPFrom is SendIP with an explicit source address, needed on
-	// multi-homed hosts so segments leave with the address the
-	// connection is bound to.
-	SendIPFrom(src, dst ip.Addr, proto byte, payload []byte)
+	// SendDatagram emits a datagram from an explicit source address,
+	// needed on multi-homed hosts so segments leave with the address
+	// the connection is bound to. dgram holds ip.HeaderLen bytes of
+	// headroom for the IP header, then the payload; the network owns
+	// it from then on.
+	SendDatagram(src, dst ip.Addr, proto byte, dgram []byte)
 	// Addr returns the host's primary IP address.
 	Addr() ip.Addr
 	// Clock returns the scheduler driving this host.
@@ -281,7 +283,7 @@ func (s *Stack) transmit(src, dst ip.Addr, seg *Segment) {
 	if s.OnSegment != nil {
 		s.OnSegment(true, src, dst, seg)
 	}
-	s.net.SendIPFrom(src, dst, ip.ProtoTCP, seg.Marshal(src, dst))
+	s.net.SendDatagram(src, dst, ip.ProtoTCP, seg.datagram(src, dst))
 }
 
 // ConnCount returns the number of live connections (tests).

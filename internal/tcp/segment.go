@@ -92,11 +92,7 @@ func (s *Segment) Marshal(src, dst ip.Addr) []byte {
 // scratch buffer instead of allocating per segment; the appended
 // region must not already alias s.Payload.
 func (s *Segment) AppendMarshal(dst0 []byte, src, dst ip.Addr) []byte {
-	optLen := 0
-	if s.MSS != 0 {
-		optLen = 4
-	}
-	hl := HeaderLen + optLen
+	hl := s.headerLen()
 	off := len(dst0)
 	dst0 = growSlice(dst0, hl+len(s.Payload))
 	b := dst0[off:]
@@ -118,6 +114,22 @@ func (s *Segment) AppendMarshal(dst0 []byte, src, dst ip.Addr) []byte {
 	s.Checksum = ip.PseudoHeaderChecksum(src, dst, ip.ProtoTCP, b)
 	binary.BigEndian.PutUint16(b[16:], s.Checksum)
 	return dst0
+}
+
+// datagram marshals the segment once, straight into a fresh buffer
+// behind ip.HeaderLen bytes of headroom for the IP header
+// (Network.SendDatagram).
+func (s *Segment) datagram(src, dst ip.Addr) []byte {
+	b := make([]byte, ip.HeaderLen, ip.HeaderLen+s.headerLen()+len(s.Payload))
+	return s.AppendMarshal(b, src, dst)
+}
+
+// headerLen is the encoded header length, options included.
+func (s *Segment) headerLen() int {
+	if s.MSS != 0 {
+		return HeaderLen + 4
+	}
+	return HeaderLen
 }
 
 // growSlice extends b by n bytes, reallocating only when capacity
